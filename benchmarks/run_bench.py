@@ -59,7 +59,7 @@ same process before generation so the ~30 MB interpreter+numpy baseline
 cannot dilute the ratio; ``compile_world`` runs outside the clock but
 inside the RSS window, identically on both sides. Gates: fresh generation ≥1.5x faster and
 ≤0.5x the net peak RSS of the object path, both builders byte-identical
-(``REPRO_TABLE_FIRST=0`` cross-check), and the scale=4.0 world must
+(``compile_from_object_graph`` cross-check), and the scale=4.0 world must
 generate within 0.5x of its object-path RSS and an absolute 256 MB
 net ceiling. The in-process section re-times the table-first build so
 the bench trend has a PR6-comparable metric.
@@ -121,6 +121,7 @@ from repro.net.batch import ObserveRequest  # noqa: E402
 from repro.net.compiled import (  # noqa: E402
     CompiledWorld,
     clear_compile_cache,
+    compile_from_object_graph,
     compile_world,
     compiled_world_for,
     load_snapshot_world,
@@ -706,14 +707,28 @@ def _world_sha(world: CompiledWorld) -> str:
     return hasher.hexdigest()
 
 
+def _time_object_path(config: InternetConfig, repeats: int) -> tuple[list[float], str]:
+    """Time the object-first leg: generate, materialize every facade, then
+    derive the arrays by walking the objects. Returns the runs and the
+    last world's sha."""
+    runs: list[float] = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        internet = generate_internet(config)
+        internet.materialize()
+        world = compile_from_object_graph(internet)
+        runs.append(round(time.perf_counter() - start, 3))
+    return runs, _world_sha(world)
+
+
 def bench_worldgen(smoke: bool = False) -> dict[str, object]:
     """Scale-1.0 world builds: object-graph-first vs table-first.
 
     Three regimes, all post-import wall clock:
 
-    * ``object_first`` — ``REPRO_TABLE_FIRST=0``: generate the object
-      graph, then derive the arrays by walking it (the PR-5 shape, and
-      what every cold process used to pay).
+    * ``object_first`` — generate, materialize the object graph, then
+      derive the arrays by walking it with ``compile_from_object_graph``
+      (the PR-5 shape, and what every cold process used to pay).
     * ``table_first_build`` — the recorder emits the arrays during
       generation and the snapshot is persisted (file removed between
       repeats so the write is always paid).
@@ -727,17 +742,7 @@ def bench_worldgen(smoke: bool = False) -> dict[str, object]:
     repeats = 2 if smoke else 3
     config = PR6_WORLD_CONFIG
 
-    object_runs: list[float] = []
-    os.environ["REPRO_TABLE_FIRST"] = "0"
-    try:
-        for _ in range(repeats):
-            clear_compile_cache()
-            start = time.perf_counter()
-            world = compile_world(generate_internet(config))
-            object_runs.append(round(time.perf_counter() - start, 3))
-        object_sha = _world_sha(world)
-    finally:
-        os.environ.pop("REPRO_TABLE_FIRST", None)
+    object_runs, object_sha = _time_object_path(config, repeats)
 
     table_runs: list[float] = []
     path = None
@@ -1248,7 +1253,6 @@ def bench_worldgen_rss_probe(mode: str, scale: float) -> dict[str, object]:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src")
     env["REPRO_CACHE"] = "0"
-    env.pop("REPRO_TABLE_FIRST", None)
     result = subprocess.run(
         [sys.executable, "-c", script],
         check=True, capture_output=True, text=True, env=env, cwd=REPO_ROOT,
@@ -1277,10 +1281,10 @@ def _probe_series(mode: str, scale: float, repeats: int) -> dict[str, object]:
 def bench_array_native_build(smoke: bool = False) -> dict[str, object]:
     """In-process scale=1.0 builds: byte identity + a PR6-comparable median.
 
-    ``REPRO_TABLE_FIRST=0`` now means "generate array-native, then
-    eagerly materialize the facades and compile by walking the objects"
-    — an independent cross-check of the recorder's arrays. Its world
-    must hash identically to the array-native compile. The table-first
+    The object path generates array-native, then eagerly materializes
+    the facades and compiles by walking the objects — an independent
+    cross-check of the recorder's arrays. Its world must hash
+    identically to the array-native compile. The table-first
     build runs are recorded under the same key BENCH_PR6 used
     (``table_first_build_median_s``) so ``repro.bench.trend`` scores
     this PR against the pre-array-native build cost.
@@ -1288,17 +1292,7 @@ def bench_array_native_build(smoke: bool = False) -> dict[str, object]:
     repeats = 2 if smoke else 3
     config = PR6_WORLD_CONFIG
 
-    object_runs: list[float] = []
-    os.environ["REPRO_TABLE_FIRST"] = "0"
-    try:
-        for _ in range(repeats):
-            clear_compile_cache()
-            start = time.perf_counter()
-            world = compile_world(generate_internet(config))
-            object_runs.append(round(time.perf_counter() - start, 3))
-        object_sha = _world_sha(world)
-    finally:
-        os.environ.pop("REPRO_TABLE_FIRST", None)
+    object_runs, object_sha = _time_object_path(config, repeats)
 
     table_runs: list[float] = []
     path = None
@@ -1403,7 +1397,7 @@ def run_pr8_suite(smoke: bool = False) -> int:
             "passed": rss_ratio <= PR8_GATES["fresh_rss_ratio"],
         },
         "array_native_byte_identity": {
-            "required": "REPRO_TABLE_FIRST=0 object walk hashes equal to the "
+            "required": "compile_from_object_graph walk hashes equal to the "
                         "array-native compile",
             "measured": build["byte_identical"],
             "enforced": True,

@@ -23,7 +23,7 @@ from repro.inference.borders import OriginOracle
 from repro.inference.mapit import MapIt, MapItConfig
 from repro.measurement.records import TracerouteRecord
 from repro.measurement.traceroute import TraceRequest, TracerouteConfig, TracerouteEngine
-from repro.net.compiled import compile_world, compiled_enabled
+from repro.net.compiled import compile_world
 from repro.obs.log import get_logger
 from repro.obs.trace import span
 from repro.platforms.ark import ArkVP
@@ -131,11 +131,10 @@ def coverage_analysis(
         all_paths.extend(paths)
 
     observed = {ip for path in all_paths for ip in path if ip is not None}
-    if compiled_enabled():
-        # Prefill the oracle's per-address caches for the whole corpus in
-        # one vectorized LPM pass — identical values to the trie walk, so
-        # this is invisible in results.
-        compile_world(internet).prime_oracle(oracle, observed)
+    # Prefill the oracle's per-address caches for the whole corpus in one
+    # vectorized LPM pass — identical values to the trie walk, so this is
+    # invisible in results.
+    compile_world(internet).prime_oracle(oracle, observed)
     ownership = MapIt(oracle, internet.graph, mapit_config).infer(all_paths).ownership
     resolver = alias_resolver if alias_resolver is not None else AliasResolver(internet)
     aliases = resolver.resolve(observed)

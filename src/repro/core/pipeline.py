@@ -263,58 +263,38 @@ def clear_study_cache() -> None:
 def pool_world_setup(context: tuple) -> None:
     """``parallel_map`` worker setup for per-VP fan-outs.
 
-    ``context`` is ``(study_config, shared_handle_or_None)``. Attaching
-    the shared compiled world first (when the parent exported one, i.e.
-    under spawn) seeds the compile cache, so the study build that follows
-    reuses the parent's read-only pages instead of recompiling. The
-    handle is either a :class:`repro.net.compiled.SnapshotHandle`
-    (worker ``mmap``s the persisted snapshot file — the kernel shares
-    one resident copy pool-wide) or a legacy shared-memory
-    :class:`repro.net.compiled.SharedWorldHandle`. Either way the study
-    is built (or fork-inherited via the memo) exactly once per worker;
-    every unit then hits the memo. An attach failure (e.g. the snapshot
-    was evicted mid-run) degrades to a plain rebuild, never an error.
+    ``context`` is ``(study_config, snapshot_handle_or_None)``. Attaching
+    the parent's world snapshot first (when it exported one, i.e. under
+    spawn) seeds the compile cache: the worker ``mmap``s the
+    :class:`repro.net.compiled.SnapshotHandle`'s file, the kernel shares
+    one resident copy pool-wide, and the study build that follows reuses
+    those pages instead of recompiling. The study is built (or
+    fork-inherited via the memo) exactly once per worker; every unit then
+    hits the memo. An attach failure (e.g. the snapshot was evicted
+    mid-run) degrades to a plain rebuild, never an error.
     """
-    study_config, shared_handle = context
-    if shared_handle is not None:
-        from repro.net.compiled import SnapshotHandle, attach_shared, attach_snapshot
+    study_config, handle = context
+    if handle is not None:
+        from repro.net.compiled import attach_snapshot
 
-        if isinstance(shared_handle, SnapshotHandle):
-            attach_snapshot(shared_handle)
-        else:
-            attach_shared(shared_handle)
+        attach_snapshot(handle)
     build_study(study_config)
 
 
 def shared_world_export(study: Study, jobs: int | None):
-    """Export ``study``'s compiled world to shared memory when useful.
+    """Ship ``study``'s compiled world to spawn-started pool workers.
 
-    Preferred transport is the persisted memory-mapped snapshot: when
-    one exists (table-first worlds persist on compile) the export is a
-    :class:`repro.net.compiled.SnapshotExport` wrapping a picklable
-    ``SnapshotHandle`` — zero-copy, nothing to unlink, workers share the
-    kernel's page cache. Falls back to copying the arrays into
-    ``multiprocessing.shared_memory``
-    (:class:`repro.net.compiled.SharedWorldExport`). Either way the
-    caller keeps the export alive for the pool's lifetime and calls
-    ``close(unlink=True)`` after. Returns ``None`` when fan-out is
-    serial, workers fork (copy-on-write already shares the pages), or
-    compiled worlds are disabled.
+    Returns a :class:`repro.net.compiled.SnapshotExport` whose picklable
+    ``handle`` points at the world's memory-mapped snapshot: the artifact
+    cache's file when the cache is on, else a temp file the export owns.
+    Either way workers attach zero-copy, and the caller keeps the export
+    alive for the pool's lifetime and calls ``close(unlink=True)`` after.
+    Returns ``None`` when fan-out is serial or workers fork (copy-on-write
+    already shares the pages).
     """
-    from repro.net.compiled import (
-        SnapshotExport,
-        compile_world,
-        compiled_enabled,
-        snapshot_handle,
-    )
+    from repro.net.compiled import compile_world, export_snapshot
     from repro.util.parallel import pool_start_method, resolve_jobs
 
-    if resolve_jobs(jobs) <= 1 or not compiled_enabled():
+    if resolve_jobs(jobs) <= 1 or pool_start_method() == "fork":
         return None
-    if pool_start_method() == "fork":
-        return None
-    world = compile_world(study.internet)
-    handle = snapshot_handle(world)
-    if handle is not None:
-        return SnapshotExport(handle=handle)
-    return world.export_shared()
+    return export_snapshot(compile_world(study.internet))

@@ -210,8 +210,8 @@ def bdrmap_all_vps(
     """Border inventories for every Ark VP, optionally fanned out across
     processes. Results come back in Table 3 row order whatever ``jobs``
     is, identical to the serial walk record-for-record. Workers inherit
-    the built world by fork (or attach the shared-memory export under
-    spawn) rather than rebuilding it per task."""
+    the built world by fork (or attach its snapshot file under spawn)
+    rather than rebuilding it per task."""
     from repro.core.pipeline import pool_world_setup, shared_world_export
 
     vps = study.ark_vps()

@@ -10,9 +10,7 @@ Execution is split into *plan* and *complete* so callers can batch the
 TCP evaluations: :meth:`NDTRunner.plan` routes the flow(s) and assigns
 the test id, :meth:`NDTRunner.complete` turns the TCP observations back
 into an :class:`NDTRecord`. Routing consumes no randomness, so planning
-ahead of evaluation leaves every RNG stream's draw order untouched;
-:meth:`NDTRunner.run` (plan → observe → complete in one call) is
-byte-identical to the historical single-shot implementation.
+ahead of evaluation leaves every RNG stream's draw order untouched.
 """
 
 from __future__ import annotations
@@ -183,23 +181,3 @@ class NDTRunner:
             upload_bps=upload_bps,
         )
         return record, planned.path
-
-    def run(
-        self,
-        client: ClientEndpoint,
-        server: ServerEndpoint,
-        timestamp_s: float,
-        local_hour: float,
-    ) -> tuple[NDTRecord, ForwardingPath] | None:
-        """Run one download test; None when the server cannot reach the client.
-
-        Returns the record plus the forwarding path the *NDT flow* took —
-        the path is handed back so the platform can launch the associated
-        Paris traceroute (with its own flow key, hence possibly a different
-        ECMP member).
-        """
-        planned = self.plan(client, server, timestamp_s, local_hour)
-        if planned is None:
-            return None
-        observations = [self._tcp.observe_request(r) for r in planned.requests]
-        return self.complete(planned, observations)

@@ -80,7 +80,8 @@ class SamplingProfiler:
     ``start()`` targets the calling thread by default (the measurement
     loop); the sampler thread never touches it beyond reading its frame
     objects, so the profiled run's results are byte-identical to an
-    unprofiled run.
+    unprofiled run. A target that is not a live thread (e.g. already
+    joined) counts every tick as missed.
     """
 
     def __init__(self, hz: float | None = None, max_depth: int = 128) -> None:
@@ -90,7 +91,11 @@ class SamplingProfiler:
         self.missed = 0
         self._counts: dict[tuple[str, ...], int] = {}
         self._span_counts: dict[str, int] = {}
-        self._target: int | None = None
+        #: Handle of the sampled thread, resolved once in ``start`` before
+        #: the sampler thread exists, so it is never the sampler itself.
+        #: A raw ident is not enough: CPython reuses the idents of joined
+        #: threads, so a dead target's ident can name a newer thread.
+        self._target: threading.Thread | None = None
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
         self._started_monotonic: float | None = None
@@ -99,7 +104,11 @@ class SamplingProfiler:
     # -- sampling ---------------------------------------------------------
 
     def _sample(self) -> None:
-        frame = sys._current_frames().get(self._target)
+        target = self._target
+        if target is None or not target.is_alive():
+            self.missed += 1
+            return
+        frame = sys._current_frames().get(target.ident)
         if frame is None:
             self.missed += 1
             return
@@ -135,7 +144,12 @@ class SamplingProfiler:
     def start(self, thread_id: int | None = None) -> "SamplingProfiler":
         if self.running:
             return self
-        self._target = threading.get_ident() if thread_id is None else thread_id
+        if thread_id is None:
+            self._target = threading.current_thread()
+        else:
+            self._target = next(
+                (t for t in threading.enumerate() if t.ident == thread_id), None
+            )
         self._stop.clear()
         self._started_monotonic = time.monotonic()
         self._thread = threading.Thread(

@@ -35,9 +35,8 @@ class Internet:
 
     Constructed either from a :class:`~repro.topology.tables.WorldTableRecorder`
     (``meta``, the array-native path — object views materialize lazily)
-    or from pre-built objects (``graph``/``fabric``/... — tests and the
-    ``REPRO_TABLE_FIRST=0`` escape hatch, where the generator eagerly
-    materializes before returning).
+    or from pre-built objects (``graph``/``fabric``/... — hand-assembled
+    worlds in tests).
     """
 
     def __init__(
@@ -61,7 +60,7 @@ class Internet:
         self.ixps = ixps
         self.rdns = rdns
         #: Table-first compiled arrays emitted by the generator's recorder
-        #: (None when REPRO_TABLE_FIRST=0 asks for the object-walk path).
+        #: (None for hand-assembled worlds, which compile by object walk).
         #: :func:`repro.net.compiled.compile_world` wraps these directly.
         self.tables = tables
         #: Per-phase wall/CPU and peak-RSS of the generation run that

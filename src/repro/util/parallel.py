@@ -233,7 +233,7 @@ def pool_start_method() -> str:
 
     Fork shares the parent's built topologies copy-on-write and is the
     default wherever available; ``REPRO_POOL_START`` overrides it (e.g.
-    ``REPRO_POOL_START=spawn`` to exercise the shared-memory world path
+    ``REPRO_POOL_START=spawn`` to exercise the world-snapshot transport
     on a fork platform).
     """
     methods = multiprocessing.get_all_start_methods()

@@ -1,11 +1,11 @@
 """Table-first generation: the recorder's arrays ARE the world.
 
 The generator's :class:`WorldTableRecorder` emits the compiled arrays
-during construction; the object-graph walk (``compile_from_object_graph``
-/ ``REPRO_TABLE_FIRST=0``) is demoted to the reference implementation.
-These tests pin the flip's core promise: both builders produce
-byte-identical arrays (golden-digest equality), the escape hatch works,
-and the lazy object views over table rows equal the fabric's objects.
+during construction; the object-graph walk (``compile_from_object_graph``)
+is the reference implementation. These tests pin the flip's core
+promise: both builders produce byte-identical arrays (golden-digest
+equality), and the lazy object views over table rows equal the fabric's
+objects.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from repro.net.compiled import (
 )
 from repro.net.link import ProvisioningConfig, provision_links
 from repro.topology.generator import InternetConfig, generate_internet
-from repro.topology.tables import table_first_enabled
 from repro.validate.contracts import validate_internet
 
 _SEEDS = (9, 27)
@@ -47,7 +46,6 @@ def _golden_digest(world: CompiledWorld) -> str:
 
 class TestRecorderEmission:
     def test_generator_emits_full_table_schema(self, tiny_internet):
-        assert table_first_enabled()
         tables = tiny_internet.tables
         assert tables is not None
         assert set(tables) == set(CompiledWorld._ARRAY_FIELDS)
@@ -80,28 +78,6 @@ class TestRecorderEmission:
         clear_compile_cache()
         second = compile_world(generate_internet(_tiny(_SEEDS[0])))
         assert _golden_digest(second) == first_digest
-
-
-class TestEscapeHatch:
-    def test_table_first_off_skips_recorder_and_stays_identical(self, monkeypatch):
-        internet_on = generate_internet(_tiny(_SEEDS[0]))
-        clear_compile_cache()
-        world_on = compile_world(internet_on)
-
-        monkeypatch.setenv("REPRO_TABLE_FIRST", "0")
-        assert not table_first_enabled()
-        internet_off = generate_internet(_tiny(_SEEDS[0]))
-        assert internet_off.tables is None
-        clear_compile_cache()
-        world_off = compile_world(internet_off)
-        assert _golden_digest(world_off) == _golden_digest(world_on)
-        clear_compile_cache()
-
-    def test_repro_compiled_off_also_disables_recorder(self, monkeypatch):
-        monkeypatch.setenv("REPRO_COMPILED", "0")
-        assert not table_first_enabled()
-        internet = generate_internet(_tiny(_SEEDS[1]))
-        assert internet.tables is None
 
 
 class TestLazyLinkViews:

@@ -6,7 +6,9 @@ These tests pin the durability contract: a snapshot round-trip is
 byte-identical to the in-memory world, a stale ``format_version`` warns
 and rebuilds (never crashes, never serves wrong tables), eviction only
 re-derives, and pool workers attached via :class:`SnapshotHandle` return
-the same coverage reports as the serial sweep under both start methods.
+the same coverage reports as the serial sweep under both start methods,
+with the artifact cache on (the cached snapshot is the transport) and off
+(a temp snapshot the export owns and removes on close).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 import pytest
 
 from repro.core.coverage import collect_coverage_reports
-from repro.core.pipeline import shared_world_export
+from repro.core.pipeline import pool_world_setup, shared_world_export
 from repro.measurement.traceroute import TraceRequest, TracerouteConfig, TracerouteEngine
 from repro.net import compiled, snapshot
 from repro.net.compiled import (
@@ -38,6 +40,7 @@ from repro.net.compiled import (
 )
 from repro.topology.generator import InternetConfig, generate_internet
 from repro.util import artifact_cache
+from repro.util.parallel import parallel_map
 from repro.validate.contracts import validate_internet
 
 # Seeds distinct from conftest's TINY_CONFIG so the process-global
@@ -275,6 +278,31 @@ class TestSnapshotTransport:
         assert attached is not None
         _assert_worlds_byte_equal(attached, compile_world(small_study.internet))
 
+    def test_cache_off_spawn_workers_attach_temp_snapshot(
+        self, fresh_cache, monkeypatch, small_study
+    ):
+        monkeypatch.setenv("REPRO_CACHE", "0")
+        monkeypatch.setenv("REPRO_POOL_OVERSUBSCRIBE", "1")
+        monkeypatch.setenv("REPRO_POOL_START", "spawn")
+        export = shared_world_export(small_study, jobs=2)
+        assert isinstance(export, SnapshotExport)
+        path = Path(export.handle.path)
+        assert path.exists()
+        assert not list(fresh_cache.glob("*.npz")), "cache off: nothing is cached"
+        try:
+            files = parallel_map(
+                _worker_world_file,
+                [export.handle.digest] * 2,
+                jobs=2,
+                context=(small_study.config, export.handle),
+                setup=pool_world_setup,
+            )
+        finally:
+            export.close(unlink=True)
+        # Each worker's study runs on the mapped temp file, not a rebuild.
+        assert files == [str(path)] * 2
+        assert not path.exists() and not path.parent.exists()
+
     def test_attach_degrades_to_none_when_file_vanished(
         self, fresh_cache, monkeypatch, caplog
     ):
@@ -324,3 +352,38 @@ class TestPoolParity:
                 assert pooled[label] == serial[label], (start, label)
         # The spawn run shipped the world by snapshot file.
         assert snapshot_path(world_digest(small_study.internet)).exists()
+
+    def test_cache_off_spawn_sweep_matches_serial_via_temp_snapshot(
+        self, fresh_cache, monkeypatch, small_study
+    ):
+        monkeypatch.setenv("REPRO_CACHE", "0")
+        serial = collect_coverage_reports(
+            small_study, alexa_count=40, max_prefixes=60, jobs=1
+        )
+        monkeypatch.setenv("REPRO_POOL_OVERSUBSCRIBE", "1")
+        monkeypatch.setenv("REPRO_POOL_START", "spawn")
+        exports: list[SnapshotExport] = []
+        real_export = compiled.export_snapshot
+
+        def recording_export(world):
+            export = real_export(world)
+            exports.append(export)
+            return export
+
+        monkeypatch.setattr(compiled, "export_snapshot", recording_export)
+        pooled = collect_coverage_reports(
+            small_study, alexa_count=40, max_prefixes=60, jobs=2
+        )
+        assert list(pooled) == list(serial)
+        for label in serial:
+            assert pooled[label] == serial[label], label
+        assert len(exports) == 1
+        assert not Path(exports[0].handle.path).exists(), "temp snapshot outlived close"
+        assert not list(fresh_cache.glob("*.npz"))
+
+
+def _worker_world_file(digest: str) -> str | None:
+    """Pool unit: the file backing this worker's compiled world, if mapped."""
+    world = compiled._COMPILE_CACHE.get(digest)
+    filename = getattr(None if world is None else world.lpm_starts, "filename", None)
+    return None if filename is None else str(filename)

@@ -257,7 +257,6 @@ class TestScale4MemoryCeiling:
         env = dict(os.environ)
         env["PYTHONPATH"] = str(REPO_SRC)
         env["REPRO_CACHE"] = "0"
-        env.pop("REPRO_TABLE_FIRST", None)
         result = subprocess.run(
             [sys.executable, "-c", script],
             check=True, capture_output=True, text=True, env=env,
