@@ -36,16 +36,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.inference.borders import OriginOracle
 from repro.obs.log import get_logger
 from repro.topology.asgraph import ASGraph
 
 _log = get_logger(__name__)
-
-#: Below this corpus size the numpy pass-1 setup costs more than it saves.
-_VECTOR_MIN_INTERFACES = 64
 
 #: Sentinel distinguishing "not memoized" from a memoized None origin.
 _MISSING = object()
@@ -229,21 +224,15 @@ class MapIt:
         propose = self._propose
         max_flips = self._config.max_flips_per_interface
         for passes in range(1, self._config.max_passes + 1):
-            if dirty is None and len(interfaces) >= _VECTOR_MIN_INTERFACES:
-                # First pass examines every interface — the majority
-                # tallies vectorize; the rule follow-ups (rare) stay in
-                # Python. Identical proposals to the scalar walk.
-                proposals = self._propose_pass1(interfaces, ownership, preds, succs)
-            else:
-                proposals = {}
-                for ip in (interfaces if dirty is None else dirty):
-                    if is_ixp(ip):
-                        continue  # IXP addresses stay unowned
-                    if flip_counts and flip_counts[ip] >= max_flips:
-                        continue  # frozen: repeated flipping signals ambiguity
-                    proposal = propose(ip, ownership, preds, succs)
-                    if proposal is not None and proposal != ownership[ip]:
-                        proposals[ip] = proposal
+            proposals = {}
+            for ip in (interfaces if dirty is None else dirty):
+                if is_ixp(ip):
+                    continue  # IXP addresses stay unowned
+                if flip_counts and flip_counts[ip] >= max_flips:
+                    continue  # frozen: repeated flipping signals ambiguity
+                proposal = propose(ip, ownership, preds, succs)
+                if proposal is not None and proposal != ownership[ip]:
+                    proposals[ip] = proposal
             if not proposals:
                 break
             ownership.update(proposals)
@@ -359,135 +348,6 @@ class MapIt:
                 if candidate != current and self._plausible(candidate, origin):
                     return candidate
         return None
-
-    def _propose_pass1(
-        self,
-        interfaces: list[int],
-        ownership: dict[int, int | None],
-        preds: dict[int, dict[int, int]],
-        succs: dict[int, dict[int, int]],
-    ) -> dict[int, int]:
-        """Vectorized first refinement pass — same proposals as the scalar
-        walk over every interface.
-
-        On pass 1 ``ownership[ip]`` *is* ``origin(ip)`` (that is how the
-        map is initialized), so the per-interface rule inputs reduce to
-        the two majority tallies plus that one array. Weighted counts are
-        exact integer sums (< 2^53) and the majority fraction divides the
-        same two exactly-represented values the scalar code divides, so
-        thresholds and tie-breaks agree bit-for-bit. Interfaces passing
-        the majority gates go through the original Python rule logic
-        (point-to-point partner, relationship plausibility) one by one.
-        """
-        n = len(interfaces)
-        current = np.fromiter(
-            (
-                -1 if owner is None else owner
-                for owner in (ownership[ip] for ip in interfaces)
-            ),
-            dtype=np.int64,
-            count=n,
-        )
-        is_ixp = self._is_ixp
-        ixp = np.fromiter((is_ixp(ip) for ip in interfaces), dtype=bool, count=n)
-
-        def majority_of(adjacency: dict[int, dict[int, int]]) -> tuple:
-            rows: list[int] = []
-            owners: list[int] = []
-            weights: list[int] = []
-            rows_append = rows.append
-            owners_append = owners.append
-            weights_append = weights.append
-            ownership_get = ownership.get
-            for index, ip in enumerate(interfaces):
-                neighbors = adjacency.get(ip)
-                if not neighbors:
-                    continue
-                for neighbor, weight in neighbors.items():
-                    owner = ownership_get(neighbor)
-                    if owner is None:
-                        continue
-                    rows_append(index)
-                    owners_append(owner)
-                    weights_append(weight)
-            major = np.full(n, -1, dtype=np.int64)
-            frac = np.zeros(n, dtype=np.float64)
-            if not rows:
-                return major, frac
-            row = np.asarray(rows, dtype=np.int64)
-            owner = np.asarray(owners, dtype=np.int64)
-            weight = np.asarray(weights, dtype=np.int64)
-            total = np.bincount(row, weights=weight, minlength=n)
-            # Segment the (row, owner) pairs and sum each segment's weight.
-            order = np.lexsort((owner, row))
-            row_sorted = row[order]
-            owner_sorted = owner[order]
-            starts_mask = np.empty(len(order), dtype=bool)
-            starts_mask[0] = True
-            np.logical_or(
-                row_sorted[1:] != row_sorted[:-1],
-                owner_sorted[1:] != owner_sorted[:-1],
-                out=starts_mask[1:],
-            )
-            starts = np.nonzero(starts_mask)[0]
-            seg_row = row_sorted[starts]
-            seg_owner = owner_sorted[starts]
-            seg_count = np.add.reduceat(weight[order], starts)
-            # Scalar tie-break is max by (count, -owner): sort segments by
-            # (row, count desc, owner asc) and keep each row's first.
-            pick = np.lexsort((seg_owner, -seg_count, seg_row))
-            picked_row = seg_row[pick]
-            first_mask = np.empty(len(pick), dtype=bool)
-            first_mask[0] = True
-            first_mask[1:] = picked_row[1:] != picked_row[:-1]
-            chosen = pick[first_mask]
-            winners = seg_row[chosen]
-            major[winners] = seg_owner[chosen]
-            frac[winners] = seg_count[chosen] / total[winners]
-            return major, frac
-
-        pred_major, pred_frac = majority_of(preds)
-        succ_major, succ_frac = majority_of(succs)
-        threshold = self._config.majority_threshold
-        strong = (
-            ~ixp
-            & (pred_major != -1)
-            & (pred_frac > threshold)
-            & (succ_major != -1)
-            & (succ_frac > threshold)
-        )
-
-        proposals: dict[int, int] = {}
-        plausible = self._plausible
-        has_ptp_partner = self._has_ptp_partner
-
-        # Agreement rule: both directions name the same owner ≠ current.
-        for index in np.nonzero(strong & (pred_major == succ_major) & (pred_major != current))[0]:
-            ip = interfaces[index]
-            candidate = int(pred_major[index])
-            origin = ownership[ip]
-            if plausible(candidate, origin):
-                proposals[ip] = candidate
-
-        # Boundary rule: majorities disagree and the address origin sides
-        # with one of them — flip to the other when the /30-/31 partner
-        # exists and the flip is relationship-plausible.
-        disagree = strong & (pred_major != succ_major) & (current != -1)
-        for index in np.nonzero(disagree & (current == pred_major))[0]:
-            ip = interfaces[index]
-            origin = int(current[index])
-            if has_ptp_partner(ip, preds.get(ip, _EMPTY_MAP), origin):
-                candidate = int(succ_major[index])
-                if candidate != origin and plausible(candidate, origin):
-                    proposals[ip] = candidate
-        for index in np.nonzero(disagree & (current == succ_major))[0]:
-            ip = interfaces[index]
-            origin = int(current[index])
-            if has_ptp_partner(ip, succs.get(ip, _EMPTY_MAP), origin):
-                candidate = int(pred_major[index])
-                if candidate != origin and plausible(candidate, origin):
-                    proposals[ip] = candidate
-        return proposals
 
     def _plausible(self, candidate: int, origin: int | None) -> bool:
         """Reject flips between networks with no known relationship.

@@ -237,8 +237,8 @@ class TracerouteEngine:
         """Run many Paris traceroutes in one pass.
 
         Byte-identical to calling :meth:`trace` for each request in
-        order: path resolution goes through the forwarder's batch
-        resolver (same interned paths), and rendering consumes the
+        order: paths come from the forwarder's ``route_flow`` behind its
+        flow memo (same interned paths), and rendering consumes the
         engine's artifact stream with exactly the scalar draw sequence —
         only the per-hop *static* facts (cumulative propagation delay,
         silent-router verdicts, third-party alternate interfaces) are

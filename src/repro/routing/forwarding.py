@@ -39,7 +39,6 @@ _ASPATH_MISSES = metrics.counter("forwarder.as_path_cache.misses")
 _PATH_HITS = metrics.counter("forwarder.path_cache.hits")
 _PATH_MISSES = metrics.counter("forwarder.path_cache.misses")
 _BATCH_FLOWS = metrics.counter("forwarder.batch.flows")
-_BATCH_GROUPS = metrics.counter("forwarder.batch.groups")
 _FLOW_MEMO_HITS = metrics.counter("forwarder.batch.flow_memo.hits")
 
 #: Cache-miss sentinel for tables whose values may legitimately be None.
@@ -212,167 +211,40 @@ class Forwarder:
         self,
         requests: "list[tuple[int, str, int, str, object]]",
     ) -> "list[ForwardingPath | None]":
-        """Resolve many flows' paths in one pass.
+        """Resolve many flows' paths in one call.
 
         Each request is ``(src_asn, src_city, dst_asn, dst_city,
         flow_key)``; the result list is order-aligned with the input and
-        every entry is *identical* (same interned object where caching is
-        on) to what :meth:`route_flow` returns for that request — batching
-        only hoists work that is constant across a (src, dst) endpoint
-        group: the AS-path lookup, the per-boundary egress-policy coins,
-        the cold-potato candidate groups, the access-router candidates,
-        and the rendered crc32 suffixes of the per-boundary ECMP hashes.
-        The flow-dependent hashes themselves are computed per flow from
-        exactly the bytes :func:`flow_hash` would hash, so every ECMP and
-        access pick lands on the same member as the scalar walk.
+        every entry is *identical* (the same interned object where caching
+        is on) to what :meth:`route_flow` returns for that request. A
+        request already resolved is answered from the flow memo, which is
+        what repeated sweeps over the same targets hit; every other one is
+        a plain :meth:`route_flow` call.
         """
-        results: list[ForwardingPath | None] = [None] * len(requests)
-        groups: dict[tuple[int, str, int, str], list] = {}
+        results: list[ForwardingPath | None] = []
         flow_memo = self._flow_memo
+        cache_size = self._segment_cache_size
+        route_flow = self.route_flow
         memo_hits = 0
-        for index, request in enumerate(requests):
+        for request in requests:
             try:
-                cached = flow_memo.get(request)
+                path = flow_memo.get(request)
             except TypeError:  # unhashable flow key — resolve uncached
-                cached = None
-            if cached is not None:
-                results[index] = cached
-                memo_hits += 1
+                results.append(route_flow(*request))
                 continue
-            src_asn, src_city, dst_asn, dst_city, flow_key = request
-            groups.setdefault((src_asn, src_city, dst_asn, dst_city), []).append(
-                (index, flow_key, request)
-            )
+            if path is not None:
+                memo_hits += 1
+            else:
+                path = route_flow(*request)
+                if path is not None and cache_size:
+                    flow_memo[request] = path
+                    if len(flow_memo) > cache_size:
+                        del flow_memo[next(iter(flow_memo))]
+            results.append(path)
         _BATCH_FLOWS.inc(len(requests))
-        _BATCH_GROUPS.inc(len(groups))
         if memo_hits:
             _ROUTES.inc(memo_hits)
             _FLOW_MEMO_HITS.inc(memo_hits)
-        crc32 = zlib.crc32
-        nearest_links = self._nearest_links
-        cache_size = self._segment_cache_size
-        path_cache = self._path_cache
-        egress_memo = self._egress_memo
-        route_flow = self.route_flow
-
-        for (src_asn, src_city, dst_asn, dst_city), members in groups.items():
-            if len(members) == 1:
-                # Singleton group: the hoisted constants cannot amortize,
-                # so the scalar walk is strictly cheaper.
-                index, flow_key, request = members[0]
-                path = route_flow(src_asn, src_city, dst_asn, dst_city, flow_key)
-                results[index] = path
-                if path is not None and cache_size:
-                    try:
-                        flow_memo[request] = path
-                    except TypeError:
-                        pass  # unhashable flow key
-                    else:
-                        if len(flow_memo) > cache_size:
-                            del flow_memo[next(iter(flow_memo))]
-                continue
-            as_path = self._cached_as_path(src_asn, dst_asn)
-            if as_path is None:
-                _UNROUTABLE.inc(len(members))
-                continue
-            _ROUTES.inc(len(members))
-
-            # Per-boundary constants: (honours-MED, crc suffix bytes, and —
-            # for cold-potato boundaries, whose anchor is the fixed
-            # destination metro — the resolved candidate group).
-            boundary_consts: list[tuple[int, int, bool, bytes, tuple | None]] = []
-            for position in range(len(as_path) - 1):
-                current_as = as_path[position]
-                next_as = as_path[position + 1]
-                policy_key = (current_as, next_as, dst_city)
-                honors_med = egress_memo.get(policy_key)
-                if honors_med is None:
-                    honors_med = (
-                        flow_hash("egress-policy", current_as, next_as, dst_city) % 2 == 0
-                    )
-                    if len(egress_memo) >= 1_048_576:
-                        egress_memo.clear()
-                    egress_memo[policy_key] = honors_med
-                suffix = ("|%d|%d|%d" % (current_as, next_as, position)).encode("utf-8")
-                cold_nearest = (
-                    nearest_links(current_as, next_as, dst_city) if honors_med else None
-                )
-                boundary_consts.append(
-                    (current_as, next_as, honors_med, suffix, cold_nearest)
-                )
-
-            # Access candidates, exactly as _access_choice builds them.
-            access_key = (dst_asn, dst_city)
-            candidates = self._access_cache.get(access_key) if cache_size else None
-            if candidates is None:
-                candidates = tuple(
-                    (router.router_id, interfaces[0].ip if interfaces else 0)
-                    for router in self._internet.fabric.access_routers_of(dst_asn, dst_city)
-                    for interfaces in (self._internet.fabric.interfaces_of(router.router_id),)
-                )
-                if cache_size:
-                    self._access_cache[access_key] = candidates
-            access_suffix = ("|access|%d|%s" % (dst_asn, dst_city)).encode("utf-8")
-
-            for index, flow_key, request in members:
-                flow_bytes = str(flow_key).encode("utf-8")
-                selected: list[Interconnect] = []
-                current_city = src_city
-                routable = True
-                for current_as, next_as, honors_med, suffix, cold_nearest in boundary_consts:
-                    nearest = (
-                        cold_nearest
-                        if honors_med
-                        else nearest_links(current_as, next_as, current_city)
-                    )
-                    if not nearest:
-                        routable = False
-                        break
-                    if len(nearest) == 1:
-                        link = nearest[0]
-                    else:
-                        link = nearest[crc32(flow_bytes + suffix) % len(nearest)]
-                    selected.append(link)
-                    current_city = link.city_code
-                if not routable:
-                    continue  # AS adjacency with no fabric realization
-                if not candidates:
-                    access_choice = None
-                elif len(candidates) == 1:
-                    access_choice = candidates[0]
-                else:
-                    access_choice = candidates[
-                        crc32(flow_bytes + access_suffix) % len(candidates)
-                    ]
-                path = None
-                if cache_size:
-                    key = (
-                        src_asn, src_city, dst_asn, dst_city,
-                        tuple(link.link_id for link in selected), access_choice,
-                    )
-                    path = path_cache.get(key)
-                    if path is not None:
-                        _PATH_HITS.inc()
-                    else:
-                        _PATH_MISSES.inc()
-                if path is None:
-                    path = self._assemble(
-                        src_asn, src_city, dst_asn, dst_city,
-                        as_path, selected, access_choice,
-                    )
-                    if cache_size:
-                        path_cache[key] = path
-                        if len(path_cache) > cache_size:
-                            del path_cache[next(iter(path_cache))]
-                results[index] = path
-                if cache_size:
-                    try:
-                        flow_memo[request] = path
-                    except TypeError:
-                        pass  # unhashable flow key
-                    else:
-                        if len(flow_memo) > cache_size:
-                            del flow_memo[next(iter(flow_memo))]
         return results
 
     def _assemble(

@@ -3,10 +3,13 @@
 Each test forces a pathological condition — total traceroute silence,
 unroutable destinations, empty corpora, a world with no congestion at all
 — and asserts the analysis layer returns empty/NaN results instead of
-raising or fabricating findings.
+raising or fabricating findings. A pool worker dying mid-task must
+surface as an error, never a hang.
 """
 
 import math
+import os
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -20,10 +23,12 @@ from repro.core.tomography import (
 from repro.inference.mapit import MapIt, MapItConfig
 from repro.inference.borders import OriginOracle
 from repro.measurement.traceroute import TracerouteConfig, TracerouteEngine
+from repro.obs import metrics
 from repro.routing.bgp import BGPRouting
 from repro.routing.forwarding import Forwarder
 from repro.topology.addressing import PrefixTable
 from repro.topology.asgraph import AS, ASGraph, ASRole, Relationship
+from repro.util.parallel import parallel_map
 
 
 class TestTotalSilence:
@@ -210,3 +215,19 @@ class TestBatchPathDegradation:
                     params.available_bps(hour),
                 )
                 assert cell == tables.cell(link_id, hour % 24.0)
+
+
+def _die_on_two(x):
+    if x == 2:
+        os._exit(3)  # abrupt worker death: no exception, no cleanup
+    return x
+
+
+class TestWorkerDeath:
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    def test_dead_worker_breaks_pool(self, monkeypatch, start_method):
+        monkeypatch.setenv("REPRO_POOL_OVERSUBSCRIBE", "1")
+        monkeypatch.setenv("REPRO_POOL_START", start_method)
+        with pytest.raises(BrokenProcessPool):
+            parallel_map(_die_on_two, list(range(4)), jobs=2)
+        assert metrics.gauge("parallel.inflight_units").value == 0

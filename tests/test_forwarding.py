@@ -2,6 +2,9 @@
 
 from collections import Counter
 
+import pytest
+
+from repro.obs import metrics
 from repro.routing.bgp import BGPRouting
 from repro.routing.forwarding import Forwarder, flow_hash
 
@@ -107,3 +110,68 @@ class TestRouteFlow:
                 link = tiny_internet.fabric.interconnect(path.crossed_links[0])
                 cities_used.add(link.city_code)
         assert len(cities_used) >= 2
+
+
+class _WithdrawnRouting(BGPRouting):
+    """BGP routing with every route toward one AS withdrawn."""
+
+    def __init__(self, graph, withdrawn_asn):
+        super().__init__(graph)
+        self._withdrawn = withdrawn_asn
+
+    def as_path(self, src, dst):
+        return None if dst == self._withdrawn else super().as_path(src, dst)
+
+
+class TestFlowMemo:
+    @pytest.fixture(autouse=True)
+    def _metrics_on(self):
+        previous = metrics.enabled_override()
+        metrics.set_enabled(True)
+        yield
+        metrics.set_enabled(previous)
+
+    def _setup(self, internet, **kwargs):
+        level3 = internet.as_named("Level3").asn
+        cox = internet.as_named("Cox").asn
+        comcast = internet.as_named("Comcast").asn
+        att = internet.as_named("ATT").asn
+        forwarder = Forwarder(internet, _WithdrawnRouting(internet.graph, att), **kwargs)
+        requests = [
+            (level3, "dfw", cox, "dfw", ("flow", 1)),
+            (level3, "chi", comcast, "chi", ("flow", 2)),
+            (level3, "dfw", cox, "dfw", ("flow", 1)),  # repeated
+            (level3, "nyc", att, "lax", ("flow", 3)),  # unroutable
+        ]
+        return forwarder, requests
+
+    def test_batch_returns_route_flow_objects(self, tiny_internet):
+        forwarder, requests = self._setup(tiny_internet)
+        batch = forwarder.resolve_paths_batch(requests)
+        assert batch[3] is None
+        assert all(
+            got is forwarder.route_flow(*request)
+            for got, request in zip(batch, requests)
+        )
+        assert batch[0] is batch[2]
+
+    def test_second_call_served_from_memo(self, tiny_internet):
+        forwarder, requests = self._setup(tiny_internet)
+        first = forwarder.resolve_paths_batch(requests)
+        hits = metrics.counter("forwarder.batch.flow_memo.hits")
+        before = hits.value
+        second = forwarder.resolve_paths_batch(requests)
+        assert all(a is b for a, b in zip(first, second))
+        routable = sum(path is not None for path in first)
+        assert routable == 3
+        assert hits.value - before == routable
+        assert requests[3] not in forwarder._flow_memo  # None is not memoized
+        assert len(forwarder._flow_memo) == 2
+
+    def test_uncached_forwarder_keeps_memo_empty(self, tiny_internet):
+        forwarder, requests = self._setup(tiny_internet, segment_cache_size=0)
+        first = forwarder.resolve_paths_batch(requests)
+        second = forwarder.resolve_paths_batch(requests)
+        assert first == second == [forwarder.route_flow(*r) for r in requests]
+        assert first[3] is None
+        assert forwarder._flow_memo == {}

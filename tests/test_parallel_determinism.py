@@ -318,6 +318,9 @@ class TestWorkerContextAndSetup:
 
     def test_worker_stats_fold_excludes_prefork_counts(self, monkeypatch):
         monkeypatch.setenv("REPRO_POOL_OVERSUBSCRIBE", "1")
+        # The provider is registered at run time, so only fork workers
+        # inherit it (and the parent's pre-fork count this test subtracts).
+        monkeypatch.setenv("REPRO_POOL_START", "fork")
         register_worker_stats("test_probe", _probe_stats)
         try:
             _PROBE_CALLS["count"] = 7  # pre-existing parent count

@@ -110,7 +110,9 @@ class TestSampling:
         worker.join()
         profiler = SamplingProfiler(hz=200)
         profiler.start(thread_id=worker.ident)
-        time.sleep(0.05)
+        deadline = time.monotonic() + 5.0
+        while profiler.missed == 0 and time.monotonic() < deadline:
+            time.sleep(0.005)
         profiler.stop()
         assert profiler.samples == 0
         assert profiler.missed > 0

@@ -7,9 +7,10 @@ same trace ids, same RNG stream consumption. These tests drive both
 paths over identical request sets — across seeds, across artifact-heavy
 configurations, across repeated batches (which exercise the render-table
 fast path) — and pin the whole thing to a golden digest captured from
-the scalar engine. The vectorized MAP-IT pass-1 rides on the same
-contract: it must infer the same ownership and links as the scalar
-pass-1 walk.
+the scalar engine. MAP-IT's inference over that golden corpus is
+pinned the same way, so a change to ownership refinement or link
+extraction that moves any inferred owner, link field, pass count or
+flip count shows up here.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import hashlib
 
 import pytest
 
-from repro.inference import mapit
 from repro.inference.mapit import MapIt
 from repro.measurement.traceroute import (
     TraceRequest,
@@ -30,6 +30,10 @@ from repro.measurement.traceroute import (
 #: draw at the end), as produced by the scalar `trace` path. trace_batch
 #: drifting from this means batching changed observable output.
 GOLDEN_TRACE_SHA = "322f697edfe2091815115ede8b049e94e89e4a5efa127334da2d2e286e64e24b"
+
+#: sha256 over MAP-IT's result on the round-one golden corpus: sorted
+#: ownership items, every InferredLink field, passes_used and flips.
+GOLDEN_MAPIT_SHA = "ba6d446e1cf15da3bdcae470aae801a979bd8ce8e452e1aadc7d9c9e95834681"
 
 #: Elevated artifact rates: silent routers, third-party addresses, and
 #: transient loss all fire constantly, hammering every batch branch that
@@ -152,21 +156,27 @@ class TestTraceBatchGolden:
         assert _digest(records, engine._rng.random()) == GOLDEN_TRACE_SHA
 
 
-class TestMapItVectorEquivalence:
-    def test_vectorized_pass_matches_scalar(self, small_study, monkeypatch):
-        requests = _golden_requests(small_study, tag="mapit:eq")
-        records = _engine(small_study, TracerouteConfig(seed=7), "mapit:eq").trace_batch(
+def _mapit_digest(result):
+    h = hashlib.sha256()
+    h.update(repr(sorted(result.ownership.items())).encode())
+    for link in result.links:
+        h.update(repr((
+            link.near_ip, link.far_ip, link.near_asn, link.far_asn,
+            link.observations, link.via_ixp,
+        )).encode())
+    h.update(repr((result.passes_used, result.flips)).encode())
+    return h.hexdigest()
+
+
+class TestMapItGolden:
+    def test_golden_corpus_inference_matches_digest(self, small_study):
+        """MAP-IT over the golden trace corpus: ownership, every inferred
+        link field, pass count and flip count, pinned bit for bit."""
+        requests = _golden_requests(small_study)
+        records = _engine(small_study, TracerouteConfig(seed=7), "golden").trace_batch(
             requests
         )
         paths = [r.router_hop_ips() for r in records if r is not None]
-        interfaces = {ip for path in paths for ip in path if ip is not None}
-        assert len(interfaces) >= 64, "corpus too small to trigger the vector path"
-
-        fast = MapIt(small_study.oracle, small_study.internet.graph).infer(paths)
-        monkeypatch.setattr(mapit, "_VECTOR_MIN_INTERFACES", 10**9)
-        slow = MapIt(small_study.oracle, small_study.internet.graph).infer(paths)
-
-        assert fast.ownership == slow.ownership
-        assert fast.links == slow.links
-        assert fast.passes_used == slow.passes_used
-        assert fast.flips == slow.flips
+        result = MapIt(small_study.oracle, small_study.internet.graph).infer(paths)
+        assert result.flips > 0 and result.links, "corpus exercises no refinement"
+        assert _mapit_digest(result) == GOLDEN_MAPIT_SHA
