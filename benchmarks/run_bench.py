@@ -986,11 +986,13 @@ def run_pr6_suite(smoke: bool = False) -> int:
 def bench_telemetry_overhead(smoke: bool = False) -> dict[str, object]:
     """Full telemetry stack on vs everything off, interleaved.
 
-    The "on" runs carry the whole PR-7 stack live: metrics collecting,
-    the cadence sampler ticking at 100 ms, the asyncio ``/metrics``
-    endpoint serving, and the sampling profiler polling the campaign
-    thread. The "off" runs disable metrics (``REPRO_METRICS=0``'s state)
-    and start nothing. Every run's campaign output is content-hashed —
+    The "on" runs carry the whole PR-7 stack live: metrics collecting
+    (with the ``gcstats`` collector hook), the cadence sampler ticking
+    at 100 ms, the asyncio ``/metrics`` endpoint serving, and the
+    sampling profiler's ``SIGALRM`` timer sampling the campaign thread.
+    The "off" runs
+    disable metrics (``REPRO_METRICS=0``'s state) and start nothing.
+    Every run's campaign output is content-hashed —
     a single distinct hash across all runs is the byte-identity gate —
     and the last "on" run's live ``/metrics`` scrape is validated for
     the quantile histogram and pool time-series families.
@@ -1005,12 +1007,13 @@ def bench_telemetry_overhead(smoke: bool = False) -> dict[str, object]:
     which mode runs first inside the pair cancels within-pair ramp
     bias, and the median across pairs suppresses the occasional pair
     that straddles a drift step. CPU time (``time.process_time()``)
-    charges every telemetry thread's work — sampler, server, profiler
-    — to this process, so the ratio is the honest measure of what the
+    charges every telemetry thread's work — sampler, server — and the
+    profiler's signal handler to this process, so the ratio is the honest measure of what the
     stack costs the measured code.
     """
     import urllib.request
 
+    from repro.obs import gcstats
     from repro.obs import serve as obs_serve
     from repro.obs import timeseries as obs_timeseries
     from repro.obs.profiler import SamplingProfiler
@@ -1055,6 +1058,7 @@ def bench_telemetry_overhead(smoke: bool = False) -> dict[str, object]:
         nonlocal openmetrics, profiler
         metrics.set_enabled(True)
         metrics.reset()
+        gcstats.install()
         sampler = obs_timeseries.default_sampler()
         server = obs_serve.TelemetryServer(port=0, sampler=sampler).start()
         profiler = SamplingProfiler().start()
@@ -1074,6 +1078,7 @@ def bench_telemetry_overhead(smoke: bool = False) -> dict[str, object]:
         finally:
             profiler.stop()
             server.stop()
+            gcstats.uninstall()
             metrics.set_enabled(None)
         on_wall.append(round(wall, 3))
         on_cpu.append(cpu)

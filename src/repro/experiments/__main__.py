@@ -46,7 +46,7 @@ import time
 
 from repro.experiments import EXPERIMENTS
 from repro.experiments.base import ExperimentResult
-from repro.obs import flowprobe, manifest, metrics, trace
+from repro.obs import flowprobe, gcstats, manifest, metrics, trace
 from repro.obs.log import configure_logging, get_logger
 from repro.obs.trace import span
 from repro.util import artifact_cache
@@ -193,6 +193,8 @@ def main(argv: list[str]) -> int:
 
     set_default_jobs(jobs)
     metrics.reset()
+    if metrics.enabled():
+        gcstats.install()
     trace.set_enabled(True)
     trace.reset()
     if args.probe_flows:
@@ -286,6 +288,7 @@ def main(argv: list[str]) -> int:
     for experiment_id, duration in _experiment_durations(span_tree, ids).items():
         statuses[experiment_id]["duration_s"] = round(duration, 3)
     snapshot = metrics.snapshot()
+    gcstats.uninstall()
     probe_series = flowprobe.active().to_dict() if flowprobe.active() else []
     payload = manifest.build_manifest(
         ids=ids,

@@ -35,10 +35,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.inference.borders import OriginOracle
 from repro.obs.log import get_logger
 from repro.topology.asgraph import ASGraph
+from repro.util.gcpause import gc_paused
 
 _log = get_logger(__name__)
 
@@ -103,15 +105,28 @@ class InferredLink:
 
 @dataclass
 class MapItResult:
-    """Corrected ownership plus the inferred link set."""
+    """Corrected ownership plus the inferred link set.
+
+    Treat a result as immutable: :meth:`annotate_trace` reads a
+    ``{ip_pair: link}`` index built from ``links`` on first use. The
+    index is not a dataclass field, so equality, ``repr`` and field-wise
+    digests never see it, and :meth:`__getstate__` leaves it out, so a
+    result pickles to the same bytes whether or not it was indexed.
+    """
 
     ownership: dict[int, int | None]
     links: list[InferredLink]
     passes_used: int
     flips: int
 
-    def link_by_ip_pair(self) -> dict[tuple[int, int], InferredLink]:
+    @cached_property
+    def _link_index(self) -> dict[tuple[int, int], InferredLink]:
         return {link.ip_pair(): link for link in self.links}
+
+    def __getstate__(self) -> dict[str, object]:
+        state = self.__dict__.copy()
+        state.pop("_link_index", None)
+        return state
 
     def annotate_trace(self, ips: list[int | None]) -> list[tuple[int, InferredLink]]:
         """Interdomain crossings in one trace: (hop index of far side, link).
@@ -119,16 +134,15 @@ class MapItResult:
         ``ips`` is a TTL-ordered hop list (None for non-responses); only
         adjacent responding pairs are matched against the inferred links.
         """
-        by_pair = self.link_by_ip_pair()
+        link_for = self._link_index.get
         crossings: list[tuple[int, InferredLink]] = []
-        for index in range(1, len(ips)):
-            a, b = ips[index - 1], ips[index]
-            if a is None or b is None:
-                continue
-            pair = (a, b) if a < b else (b, a)
-            link = by_pair.get(pair)
-            if link is not None:
-                crossings.append((index, link))
+        a = None
+        for index, b in enumerate(ips):
+            if a is not None and b is not None:
+                link = link_for((a, b) if a < b else (b, a))
+                if link is not None:
+                    crossings.append((index, link))
+            a = b
         return crossings
 
 
@@ -169,6 +183,8 @@ class MapIt:
 
     # ------------------------------------------------------------------
 
+    # Adjacency maps, ownership and links are acyclic ints, tuples and dicts.
+    @gc_paused()
     def infer(self, traces: list[list[int | None]]) -> MapItResult:
         """Run the multipass inference over a corpus of hop sequences.
 

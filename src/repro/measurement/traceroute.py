@@ -31,6 +31,7 @@ from repro.obs import metrics
 from repro.routing.forwarding import Forwarder, ForwardingPath
 from repro.topology.geo import propagation_delay_by_code_ms
 from repro.topology.internet import Internet
+from repro.util.gcpause import gc_paused
 from repro.util.rng import derive_random
 
 _BATCH_REQUESTS = metrics.counter("trace.batch.requests")
@@ -231,6 +232,8 @@ class TracerouteEngine:
     # ------------------------------------------------------------------
     # batch path
 
+    # Records, hops and render tables built here are acyclic.
+    @gc_paused()
     def trace_batch(
         self, requests: Sequence[TraceRequest]
     ) -> list[TracerouteRecord | None]:

@@ -23,6 +23,8 @@ Sub-modules:
   HTTP endpoint (``--telemetry-port`` / ``python -m repro.obs.serve``);
 * :mod:`repro.obs.profiler` — ~100 Hz sampling profiler with
   collapsed-stack output and per-span CPU attribution;
+* :mod:`repro.obs.gcstats` — cyclic-collector collections per generation
+  and pause seconds via ``gc.callbacks`` (installed while metrics are on);
 * :mod:`repro.obs.manifest` — the ``run_manifest.json`` / ``trace.json``
   writers (schema v2: resource usage + per-phase wall-clock).
 

@@ -27,6 +27,7 @@ from repro.platforms.clients import Client, ClientPopulation
 from repro.platforms.mlab import MLabPlatform, MLabServer
 from repro.routing.forwarding import Forwarder
 from repro.topology.internet import Internet
+from repro.util.gcpause import gc_paused
 from repro.util.rng import derive_random
 
 _SECONDS_PER_DAY = 86_400.0
@@ -79,6 +80,8 @@ class CampaignResult:
         return [r for r in self.ndt_records if r.gt_client_org == org_name]
 
 
+# Builds tens of thousands of acyclic, long-lived records: no cycles to find.
+@gc_paused()
 def run_ndt_campaign(
     internet: Internet,
     population: ClientPopulation,

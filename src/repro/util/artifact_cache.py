@@ -43,6 +43,7 @@ from typing import Any, Callable
 
 from repro.obs import metrics
 from repro.obs.log import get_logger
+from repro.util.gcpause import gc_paused
 
 _ENV_DIR = "REPRO_CACHE_DIR"
 _ENV_TOGGLE = "REPRO_CACHE"
@@ -144,7 +145,8 @@ def load(kind: str, key: str) -> Any | None:
     path = _path_for(kind, key)
     start = time.perf_counter()
     try:
-        with path.open("rb") as handle:
+        # Unpickled artifacts are acyclic records; rescanning them finds nothing.
+        with path.open("rb") as handle, gc_paused():
             value = pickle.load(handle)
     except FileNotFoundError:
         _MISSES.inc()

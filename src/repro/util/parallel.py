@@ -40,6 +40,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Iterable, Sequence, TypeVar
 
+from repro.obs import gcstats
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.obs.log import get_logger
@@ -222,6 +223,8 @@ def _worker_init(
     if metrics_enabled is not None:
         obs_metrics.set_enabled(metrics_enabled)
     obs_metrics.reset()
+    if obs_metrics.enabled():
+        gcstats.install()
     if setup is not None:
         # Per-worker one-time setup (build/attach the study world) so the
         # cost is paid once per process, not once per unit.

@@ -1,14 +1,24 @@
-"""Unit tests for MAP-IT on hand-built boundary scenarios, plus an
-integration accuracy check on the generated world."""
+"""Unit tests for MAP-IT on hand-built boundary scenarios, an
+integration accuracy check on the generated world, and the per-result
+link index behind ``annotate_trace`` on the golden corpus."""
+
+import pickle
 
 import pytest
 
 from repro.inference.borders import OriginOracle
 from repro.inference.mapit import MapIt, MapItConfig
+from repro.measurement.traceroute import TracerouteConfig
 from repro.topology.addressing import Prefix, PrefixTable
 from repro.topology.asgraph import AS, ASGraph, ASRole, Relationship
 from repro.topology.orgs import Organization, OrgMap
 from repro.util.ip import parse_ip
+from tests.test_trace_batch_equivalence import (
+    GOLDEN_MAPIT_SHA,
+    _engine,
+    _golden_requests,
+    _mapit_digest,
+)
 
 A_ASN, B_ASN = 100, 200
 
@@ -180,3 +190,53 @@ class TestIntegrationAccuracy:
         tp = len(gt_as_pairs & inf_as_pairs)
         assert tp / len(inf_as_pairs) > 0.9, "AS-pair precision"
         assert tp / len(gt_as_pairs) > 0.8, "AS-pair recall"
+
+
+@pytest.fixture(scope="module")
+def golden_mapit(small_study):
+    """MAP-IT over the round-one golden corpus pinned by GOLDEN_MAPIT_SHA."""
+    records = _engine(small_study, TracerouteConfig(seed=7), "golden").trace_batch(
+        _golden_requests(small_study)
+    )
+    paths = [r.router_hop_ips() for r in records if r is not None]
+    return paths, MapIt(small_study.oracle, small_study.internet.graph).infer(paths)
+
+
+def _reference_crossings(links, ips):
+    """annotate_trace's contract as a linear scan over the link list."""
+    crossings = []
+    for index in range(1, len(ips)):
+        a, b = ips[index - 1], ips[index]
+        if a is None or b is None:
+            continue
+        for link in links:
+            if {link.near_ip, link.far_ip} == {a, b}:
+                crossings.append((index, link))
+                break
+    return crossings
+
+
+class TestLinkIndex:
+    def test_annotate_matches_reference_scan_on_golden_corpus(self, golden_mapit):
+        paths, result = golden_mapit
+        assert _mapit_digest(result) == GOLDEN_MAPIT_SHA
+        found = 0
+        for ips in paths:
+            got = result.annotate_trace(ips)
+            assert got == _reference_crossings(result.links, ips)
+            found += len(got)
+        assert found, "golden corpus crosses no inferred link"
+        # The index is invisible to the fields the golden digest reads.
+        assert _mapit_digest(result) == GOLDEN_MAPIT_SHA
+
+    def test_pickle_bytes_unchanged_by_annotation(self, golden_mapit):
+        paths, result = golden_mapit
+        fresh = pickle.loads(pickle.dumps(result))
+        assert "_link_index" not in vars(fresh)
+        before = pickle.dumps(fresh, protocol=pickle.HIGHEST_PROTOCOL)
+        for ips in paths:
+            fresh.annotate_trace(ips)
+        assert "_link_index" in vars(fresh)
+        after = pickle.dumps(fresh, protocol=pickle.HIGHEST_PROTOCOL)
+        assert after == before
+        assert pickle.loads(after) == fresh == result

@@ -7,6 +7,7 @@ span CPU, summary) are derived purely from what it sampled.
 
 from __future__ import annotations
 
+import signal
 import threading
 import time
 
@@ -138,3 +139,22 @@ class TestSampling:
         profiler.stop()
         profiler.stop()
         assert not profiler.running
+
+    def test_samples_on_a_timer_signal_without_a_thread(self):
+        threads_before = threading.active_count()
+        profiler = SamplingProfiler(hz=500).start()
+        assert threading.active_count() == threads_before
+        assert signal.getsignal(signal.SIGALRM) == profiler._on_alarm
+        _burn(0.1)
+        profiler.stop()
+        assert profiler.samples > 0
+        assert signal.getsignal(signal.SIGALRM) is signal.SIG_DFL
+        assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+
+    def test_refuses_a_sigalrm_already_in_use(self):
+        signal.signal(signal.SIGALRM, lambda *_: None)
+        try:
+            with pytest.raises(RuntimeError, match="SIGALRM"):
+                SamplingProfiler(hz=100).start()
+        finally:
+            signal.signal(signal.SIGALRM, signal.SIG_DFL)
