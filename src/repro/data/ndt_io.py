@@ -150,24 +150,28 @@ def write_traceroutes_jsonl(
 
 
 def load_traceroutes_jsonl(path: str) -> list[TracerouteRecord]:
-    """Load traceroutes from JSONL (ground truth optional)."""
+    """Load traceroutes from JSONL (ground truth optional).
+
+    Raises ``ValueError`` naming the line when a trace's hop TTLs do not
+    run 1..n.
+    """
     traces: list[TracerouteRecord] = []
     with open(path, encoding="utf-8") as handle:
-        for line in handle:
+        for line_number, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:
                 continue
             payload = json.loads(line)
-            hops = tuple(
+            hops = [
                 TraceHop(
                     ttl=hop["ttl"],
                     ip=parse_ip(hop["ip"]) if hop["ip"] is not None else None,
                     rtt_ms=hop["rtt_ms"],
                 )
                 for hop in payload["hops"]
-            )
-            traces.append(
-                TracerouteRecord(
+            ]
+            try:
+                trace = TracerouteRecord.from_hops(
                     trace_id=payload["trace_id"],
                     timestamp_s=payload["timestamp_s"],
                     src_ip=parse_ip(payload["src_ip"]),
@@ -178,5 +182,7 @@ def load_traceroutes_jsonl(path: str) -> list[TracerouteRecord]:
                     gt_crossed_links=tuple(payload.get("gt_crossed_links", ())),
                     gt_as_path=tuple(payload.get("gt_as_path", ())),
                 )
-            )
+            except ValueError as error:
+                raise ValueError(f"{path}:{line_number}: {error}") from error
+            traces.append(trace)
     return traces

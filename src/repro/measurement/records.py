@@ -10,7 +10,7 @@ the ``gt_`` fields).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from repro.util.units import MBPS
 
@@ -59,10 +59,8 @@ class NDTRecord:
 class TraceHop(NamedTuple):
     """One TTL step of a traceroute. ``ip`` is None for a non-response (*).
 
-    A NamedTuple rather than a frozen dataclass: traceroute rendering
-    builds hundreds of thousands of these per sweep and tuple construction
-    skips the per-field ``object.__setattr__`` a frozen dataclass pays.
-    Field access, repr format, equality, and pickling are unchanged.
+    The per-hop view that :attr:`TracerouteRecord.hops` builds on access;
+    records themselves store their hops as two flat columns.
     """
 
     ttl: int
@@ -70,23 +68,90 @@ class TraceHop(NamedTuple):
     rtt_ms: float | None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class TracerouteRecord:
-    """A Paris traceroute from a measurement server toward a client."""
+    """A Paris traceroute from a measurement server toward a client.
+
+    Hops are stored as two exact tuples of atoms, ``hop_ips`` (None for a
+    non-response) and ``hop_rtts``, with the TTL implied by position
+    (1..n). Tuples of atoms pickle through the C pickler with no
+    per-hop Python call, and the cyclic collector untracks them, so a
+    campaign's hundreds of thousands of hops are neither rebuilt one
+    object at a time on load nor rescanned on every full collection.
+    """
 
     trace_id: int
     timestamp_s: float
     src_ip: int
     src_asn: int
     dst_ip: int
-    hops: tuple[TraceHop, ...]
+    hop_ips: tuple[int | None, ...]
+    hop_rtts: tuple[float | None, ...]
     reached_destination: bool
     # --- ground truth (validation only) ---
     gt_crossed_links: tuple[int, ...]
     gt_as_path: tuple[int, ...]
 
+    @classmethod
+    def from_hops(
+        cls,
+        trace_id: int,
+        timestamp_s: float,
+        src_ip: int,
+        src_asn: int,
+        dst_ip: int,
+        hops: Sequence[TraceHop],
+        reached_destination: bool,
+        gt_crossed_links: tuple[int, ...],
+        gt_as_path: tuple[int, ...],
+    ) -> "TracerouteRecord":
+        """Build a record from per-hop ``TraceHop`` values.
+
+        Raises ``ValueError`` unless the TTLs run 1..n, since the columns
+        carry the TTL only as a position.
+        """
+        for position, hop in enumerate(hops, start=1):
+            if hop.ttl != position:
+                raise ValueError(
+                    f"hop TTLs must run 1..{len(hops)}; "
+                    f"position {position} has TTL {hop.ttl}"
+                )
+        return cls(
+            trace_id=trace_id,
+            timestamp_s=timestamp_s,
+            src_ip=src_ip,
+            src_asn=src_asn,
+            dst_ip=dst_ip,
+            hop_ips=tuple(hop.ip for hop in hops),
+            hop_rtts=tuple(hop.rtt_ms for hop in hops),
+            reached_destination=reached_destination,
+            gt_crossed_links=gt_crossed_links,
+            gt_as_path=gt_as_path,
+        )
+
+    @property
+    def hops(self) -> tuple[TraceHop, ...]:
+        """The hops as ``TraceHop`` values, built on each access."""
+        return tuple(
+            TraceHop(ttl, ip, rtt)
+            for ttl, (ip, rtt) in enumerate(zip(self.hop_ips, self.hop_rtts), start=1)
+        )
+
+    def __repr__(self) -> str:
+        # The repr a dataclass with a ``hops`` field would print: digests
+        # of record collections are taken over this text.
+        return (
+            f"{type(self).__qualname__}(trace_id={self.trace_id!r}, "
+            f"timestamp_s={self.timestamp_s!r}, src_ip={self.src_ip!r}, "
+            f"src_asn={self.src_asn!r}, dst_ip={self.dst_ip!r}, "
+            f"hops={self.hops!r}, "
+            f"reached_destination={self.reached_destination!r}, "
+            f"gt_crossed_links={self.gt_crossed_links!r}, "
+            f"gt_as_path={self.gt_as_path!r})"
+        )
+
     def responding_ips(self) -> list[int]:
-        return [hop.ip for hop in self.hops if hop.ip is not None]
+        return [ip for ip in self.hop_ips if ip is not None]
 
     def router_hop_ips(self) -> list[int | None]:
         """TTL-ordered hop addresses (None for ``*``), destination excluded.
@@ -96,9 +161,7 @@ class TracerouteRecord:
         adjacency evidence (a last-router→host pair looks like an AS
         boundary whenever the two sit in different prefixes).
         """
-        hops = self.hops
-        if self.reached_destination and hops and hops[-1].ip == self.dst_ip:
-            hops = hops[:-1]
-        # hop[1] is TraceHop.ip — plain tuple indexing, because this runs
-        # per trace in every border-inference sweep.
-        return [hop[1] for hop in hops]
+        ips = self.hop_ips
+        if self.reached_destination and ips and ips[-1] == self.dst_ip:
+            return list(ips[:-1])
+        return list(ips)

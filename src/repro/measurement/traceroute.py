@@ -26,7 +26,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from repro.measurement.records import TraceHop, TracerouteRecord
+from repro.measurement.records import TracerouteRecord
 from repro.obs import metrics
 from repro.routing.forwarding import Forwarder, ForwardingPath
 from repro.topology.geo import propagation_delay_by_code_ms
@@ -179,11 +179,11 @@ class TracerouteEngine:
         transient_loss_prob = config.transient_loss_prob
         third_party_prob = config.third_party_prob
         rtt_jitter_ms = config.rtt_jitter_ms
-        hops: list[TraceHop] = []
-        hops_append = hops.append
+        hop_ips: list[int | None] = []
+        hop_rtts: list[float | None] = []
         cumulative_ms = 1.0
         previous_city = path.hops[0].city_code if path.hops else dst_city
-        for ttl, hop in enumerate(path.hops, start=1):
+        for hop in path.hops:
             if hop.city_code != previous_city:
                 cumulative_ms += 2.0 * propagation_delay_by_code_ms(
                     previous_city, hop.city_code
@@ -202,7 +202,8 @@ class TracerouteEngine:
                 # Inlined rng.uniform(-1, 1): a + (b - a) * random() with
                 # a=-1, b=1 — bit-identical, minus the method call.
                 rtt = max(0.1, cumulative_ms + (-1 + 2 * rng_random()) * rtt_jitter_ms)
-            hops_append(TraceHop(ttl, reply_ip, rtt))
+            hop_ips.append(reply_ip)
+            hop_rtts.append(rtt)
 
         reached = rng_random() < config.destination_responds_prob
         if reached:
@@ -211,9 +212,8 @@ class TracerouteEngine:
                     previous_city, dst_city
                 )
             # Inlined rng.uniform(0, jitter): 0 + jitter * random().
-            hops_append(
-                TraceHop(len(hops) + 1, dst_ip, cumulative_ms + rtt_jitter_ms * rng_random())
-            )
+            hop_ips.append(dst_ip)
+            hop_rtts.append(cumulative_ms + rtt_jitter_ms * rng_random())
 
         record = TracerouteRecord(
             trace_id=self._next_trace_id,
@@ -221,7 +221,8 @@ class TracerouteEngine:
             src_ip=src_ip,
             src_asn=path.src_asn,
             dst_ip=dst_ip,
-            hops=tuple(hops),
+            hop_ips=tuple(hop_ips),
+            hop_rtts=tuple(hop_rtts),
             reached_destination=reached,
             gt_crossed_links=path.crossed_links,
             gt_as_path=path.as_path,
@@ -280,8 +281,6 @@ class TracerouteEngine:
         resolve_alternates = self._alternates
         final_delay = self._final_delay
         final_delay_get = final_delay.get
-        new_hop = tuple.__new__
-        hop_type = TraceHop
         obj_new = object.__new__
         record_type = TracerouteRecord
         next_trace_id = self._next_trace_id
@@ -296,8 +295,10 @@ class TracerouteEngine:
                 records_append(None)
                 continue
             path_id = id(path)
-            hops: list[TraceHop] = []
-            hops_append = hops.append
+            hop_ips: list[int | None] = []
+            hop_rtts: list[float | None] = []
+            ips_append = hop_ips.append
+            rtts_append = hop_rtts.append
             table = tables_get(path_id)
             if table is not None and pins_get(path_id) is path:
                 # Fast path: render from the precomputed table. The draw
@@ -305,10 +306,11 @@ class TracerouteEngine:
                 # is trace_along's, verbatim — see the determinism note
                 # there. ``x if x > 0.1 else 0.1`` is max(0.1, x) inlined.
                 table_hits += 1
-                entries, last_ttl, last_city, last_cum = table
-                for silent, reply_ip, cumulative_ms, ttl, lost_hop, router_id in entries:
+                entries, last_city, last_cum = table
+                for silent, reply_ip, cumulative_ms, router_id in entries:
                     if silent or rng_random() < transient_loss_prob:
-                        hops_append(lost_hop)
+                        ips_append(None)
+                        rtts_append(None)
                         continue
                     if rng_random() < third_party_prob:
                         alternates = alternates_get((router_id, reply_ip))
@@ -317,9 +319,8 @@ class TracerouteEngine:
                         if alternates:
                             reply_ip = rng_choice(alternates)
                     rtt = cumulative_ms + (-1 + 2 * rng_random()) * rtt_jitter_ms
-                    hops_append(
-                        new_hop(hop_type, (ttl, reply_ip, rtt if rtt > 0.1 else 0.1))
-                    )
+                    ips_append(reply_ip)
+                    rtts_append(rtt if rtt > 0.1 else 0.1)
             elif seen_get(path_id) is path:
                 # Second visit: the path repeats, so build its table while
                 # rendering — one walk. ``cumulative_ms`` accumulates by
@@ -332,9 +333,7 @@ class TracerouteEngine:
                 cumulative_ms = 1.0
                 path_hops = path.hops
                 last_city = path_hops[0].city_code if path_hops else None
-                last_ttl = 0
                 for hop in path_hops:
-                    last_ttl += 1
                     city = hop.city_code
                     if city != last_city:
                         cumulative_ms += 2.0 * prop_delay(last_city, city)
@@ -344,12 +343,10 @@ class TracerouteEngine:
                     if silent is None:
                         silent = router_is_silent(router_id)
                     default_ip = hop.reply_ip
-                    lost_hop = new_hop(hop_type, (last_ttl, None, None))
-                    entries_append(
-                        (silent, default_ip, cumulative_ms, last_ttl, lost_hop, router_id)
-                    )
+                    entries_append((silent, default_ip, cumulative_ms, router_id))
                     if silent or rng_random() < transient_loss_prob:
-                        hops_append(lost_hop)
+                        ips_append(None)
+                        rtts_append(None)
                         continue
                     reply_ip = default_ip
                     if rng_random() < third_party_prob:
@@ -359,12 +356,11 @@ class TracerouteEngine:
                         if alternates:
                             reply_ip = rng_choice(alternates)
                     rtt = cumulative_ms + (-1 + 2 * rng_random()) * rtt_jitter_ms
-                    hops_append(
-                        new_hop(hop_type, (last_ttl, reply_ip, rtt if rtt > 0.1 else 0.1))
-                    )
+                    ips_append(reply_ip)
+                    rtts_append(rtt if rtt > 0.1 else 0.1)
                 last_cum = cumulative_ms
                 del seen[path_id]
-                tables[path_id] = (tuple(entries_list), last_ttl, last_city, last_cum)
+                tables[path_id] = (tuple(entries_list), last_city, last_cum)
                 pins[path_id] = path
                 if len(tables) > _RENDER_TABLE_SIZE:
                     evicted = next(iter(tables))
@@ -378,9 +374,7 @@ class TracerouteEngine:
                 cumulative_ms = 1.0
                 path_hops = path.hops
                 last_city = path_hops[0].city_code if path_hops else None
-                last_ttl = 0
                 for hop in path_hops:
-                    last_ttl += 1
                     city = hop.city_code
                     if city != last_city:
                         cumulative_ms += 2.0 * prop_delay(last_city, city)
@@ -390,7 +384,8 @@ class TracerouteEngine:
                     if silent is None:
                         silent = router_is_silent(router_id)
                     if silent or rng_random() < transient_loss_prob:
-                        hops_append(new_hop(hop_type, (last_ttl, None, None)))
+                        ips_append(None)
+                        rtts_append(None)
                         continue
                     reply_ip = hop.reply_ip
                     if rng_random() < third_party_prob:
@@ -400,9 +395,8 @@ class TracerouteEngine:
                         if alternates:
                             reply_ip = rng_choice(alternates)
                     rtt = cumulative_ms + (-1 + 2 * rng_random()) * rtt_jitter_ms
-                    hops_append(
-                        new_hop(hop_type, (last_ttl, reply_ip, rtt if rtt > 0.1 else 0.1))
-                    )
+                    ips_append(reply_ip)
+                    rtts_append(rtt if rtt > 0.1 else 0.1)
                 last_cum = cumulative_ms
                 seen[path_id] = path
                 if len(seen) > _RENDER_TABLE_SIZE:
@@ -418,15 +412,11 @@ class TracerouteEngine:
                         extra = 2.0 * prop_delay(last_city, dst_city)
                         final_delay[delay_key] = extra
                     cumulative_ms += extra
-                hops_append(
-                    new_hop(
-                        hop_type,
-                        (last_ttl + 1, dst_ip, cumulative_ms + rtt_jitter_ms * rng_random()),
-                    )
-                )
+                ips_append(dst_ip)
+                rtts_append(cumulative_ms + rtt_jitter_ms * rng_random())
 
             # Equivalent to the TracerouteRecord(...) constructor, minus
-            # the nine frozen-dataclass object.__setattr__ calls: the
+            # the ten frozen-dataclass object.__setattr__ calls: the
             # instance dict ends up identical, so equality, field access,
             # repr, and pickling are unchanged.
             record = obj_new(record_type)
@@ -436,7 +426,8 @@ class TracerouteEngine:
                 "src_ip": src_ip,
                 "src_asn": path.src_asn,
                 "dst_ip": dst_ip,
-                "hops": tuple(hops),
+                "hop_ips": tuple(hop_ips),
+                "hop_rtts": tuple(hop_rtts),
                 "reached_destination": reached,
                 "gt_crossed_links": path.crossed_links,
                 "gt_as_path": path.as_path,

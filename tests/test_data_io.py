@@ -64,6 +64,8 @@ class TestTracerouteRoundTrip:
         loaded = load_traceroutes_jsonl(path)
         assert len(loaded) == count
         for original, reloaded in zip(small_campaign.traceroute_records, loaded):
+            assert reloaded.hop_ips == original.hop_ips
+            assert reloaded.hop_rtts == original.hop_rtts
             assert reloaded.router_hop_ips() == original.router_hop_ips()
             assert reloaded.reached_destination == original.reached_destination
 
@@ -129,3 +131,14 @@ class TestTopologyRoundTrip:
             load_prefix_table(str(bad))
         with pytest.raises(ValueError):
             load_relationships(str(bad))
+        # A trace whose hop TTLs skip 2: the error names the offending line.
+        trace = (
+            '{"trace_id": %d, "timestamp_s": 0.0, "src_ip": "10.0.0.1", '
+            '"src_asn": 1, "dst_ip": "10.0.0.9", "reached_destination": false, '
+            '"hops": [{"ttl": 1, "ip": "10.0.0.2", "rtt_ms": 1.0}, '
+            '{"ttl": %d, "ip": null, "rtt_ms": null}]}\n'
+        )
+        gap = tmp_path / "gap.jsonl"
+        gap.write_text(trace % (1, 2) + trace % (2, 3))
+        with pytest.raises(ValueError, match=r"gap\.jsonl:2: .*TTL"):
+            load_traceroutes_jsonl(str(gap))

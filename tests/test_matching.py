@@ -18,7 +18,7 @@ def _ndt(test_id, t, client_ip=100):
 
 
 def _trace(trace_id, t, dst_ip=100):
-    return TracerouteRecord(
+    return TracerouteRecord.from_hops(
         trace_id=trace_id, timestamp_s=t, src_ip=1, src_asn=1, dst_ip=dst_ip,
         hops=(TraceHop(1, 5, 1.0),), reached_destination=False,
         gt_crossed_links=(), gt_as_path=(1, 2),

@@ -1,5 +1,8 @@
 """Tests for units helpers and measurement records."""
 
+import gc
+import pickle
+
 import pytest
 
 from repro.measurement.records import NDTRecord, TraceHop, TracerouteRecord
@@ -46,7 +49,7 @@ class TestNDTRecord:
 
 class TestTracerouteRecord:
     def _trace(self, hops, reached, dst_ip=99):
-        return TracerouteRecord(
+        return TracerouteRecord.from_hops(
             trace_id=1, timestamp_s=0.0, src_ip=1, src_asn=1, dst_ip=dst_ip,
             hops=tuple(hops), reached_destination=reached,
             gt_crossed_links=(), gt_as_path=(1,),
@@ -72,3 +75,35 @@ class TestTracerouteRecord:
         hops = [TraceHop(1, 10, 1.0), TraceHop(2, 55, 2.0)]
         trace = self._trace(hops, reached=True)
         assert trace.router_hop_ips() == [10, 55]
+
+    def _three_hop(self):
+        # One silent hop, destination reached as the last hop.
+        return self._trace(
+            [TraceHop(1, 10, 1.5), TraceHop(2, None, None), TraceHop(3, 99, 4.25)],
+            reached=True,
+        )
+
+    def test_repr_keeps_per_hop_format(self):
+        assert repr(self._three_hop()) == (
+            "TracerouteRecord(trace_id=1, timestamp_s=0.0, src_ip=1, src_asn=1, "
+            "dst_ip=99, hops=(TraceHop(ttl=1, ip=10, rtt_ms=1.5), "
+            "TraceHop(ttl=2, ip=None, rtt_ms=None), "
+            "TraceHop(ttl=3, ip=99, rtt_ms=4.25)), reached_destination=True, "
+            "gt_crossed_links=(), gt_as_path=(1,))"
+        )
+
+    def test_pickle_round_trip_carries_no_hop_objects(self):
+        trace = self._three_hop()
+        data = pickle.dumps(trace, protocol=pickle.HIGHEST_PROTOCOL)
+        assert pickle.loads(data) == trace
+        assert b"TraceHop" not in data
+
+    def test_hop_columns_untracked_by_collector(self):
+        trace = self._three_hop()
+        gc.collect()
+        assert not gc.is_tracked(trace.hop_ips)
+        assert not gc.is_tracked(trace.hop_rtts)
+
+    def test_from_hops_rejects_ttl_gap(self):
+        with pytest.raises(ValueError, match="TTL"):
+            self._trace([TraceHop(1, 10, 1.0), TraceHop(3, 11, 2.0)], reached=False)

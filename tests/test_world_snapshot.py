@@ -208,12 +208,20 @@ class TestFormatVersionMismatch:
         clear_compile_cache()
         assert load_snapshot_world(world.digest) is not None
 
-    def test_corrupt_snapshot_is_dropped_and_rebuilt(self, fresh_cache):
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            pytest.param(lambda data: b"not a zip archive", id="garbage"),
+            pytest.param(lambda data: data[: len(data) // 2], id="truncated"),
+        ],
+    )
+    def test_corrupt_snapshot_is_dropped_and_rebuilt(self, fresh_cache, corrupt):
         internet = generate_internet(_tiny(_SEEDS[1]))
         world = compile_world(internet)
         path = snapshot_path(world.digest)
-        path.write_bytes(b"not a zip archive")
+        path.write_bytes(corrupt(path.read_bytes()))
         clear_compile_cache()
+        assert load_snapshot_world(world.digest) is None
         internet.tables = None
         rebuilt = compile_world(internet)
         _assert_worlds_byte_equal(world, rebuilt)
